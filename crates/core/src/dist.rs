@@ -50,18 +50,17 @@ use crate::dirac::{
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
 use crate::field::{
-    cg_update_x_r, gauge_comp, spinor_comp, FermionBlock, FermionField, Field, FieldKind,
-    GaugeField,
+    gauge_comp, spinor_comp, FermionBlock, FermionField, Field, FieldKind, GaugeField,
 };
+use crate::krylov::{self, Cg, Reduction, Workspace};
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
 use crate::simd::{CVec, SimdEngine};
-use crate::solver::{conclude_health, SolveReport};
+use crate::solver::{CgState, SolveReport};
 use crate::stencil::{dir_index, StencilEntry};
 use crate::tensor::gamma::proj_table;
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
-use qcd_metrics::HealthMonitor;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -773,56 +772,57 @@ pub fn dist_cg_ws(
 ) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
-    let b_norm2 = dw.canon_norm2(b, ws);
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = FermionField::zero(grid.clone());
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut ap = FermionField::zero(grid.clone());
-    let mut r2 = b_norm2;
-    let mut iterations = 0usize;
-    let mut history = Vec::with_capacity(max_iter + 2);
-    history.push((r2 / b_norm2).sqrt());
-    let mut monitor = HealthMonitor::new("solver.dist_cg");
-    monitor.replay(&history);
-
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        dw.mdag_m_into(&p, ws, &mut ap);
-        let p_ap = dw.canon_inner_re(&p, &ap, ws);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = r2 / p_ap;
-        // The fused sweep's local |r|² is discarded: the recurrence runs on
-        // the canonical norm below so scalars match at every rank count.
-        let _local_r2 = cg_update_x_r(&mut x, &mut r, alpha, &p, &ap);
-        let r2_new = dw.canon_norm2(&r, ws);
-        let beta = r2_new / r2;
-        p.aypx(beta, &r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    // True residual (canonical), reusing the spent search direction.
-    dw.mdag_m_into(&x, ws, &mut ap);
-    p.sub(b, &ap);
-    let residual = (dw.canon_norm2(&p, ws) / b_norm2).sqrt();
-    let (history, health) = conclude_health("solver.dist_cg", monitor, &history, iterations);
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
+    let mut cg_ws = DistCgWorkspace {
+        dist: ws,
+        ap: FermionField::zero(grid.clone()),
+    };
+    let mut reduce = Ring(dw);
+    let state: CgState = krylov::zero_start(b, &mut reduce, &mut cg_ws);
+    Cg::new("solver.dist_cg", tol, max_iter).solve(
+        span,
+        b,
+        state,
+        &mut cg_ws,
+        reduce,
+        |p, w: &mut DistCgWorkspace| dw.mdag_m_into(p, w.dist, &mut w.ap),
     )
+}
+
+/// The distributed solve's workspace: the operator's comms buffers plus
+/// the `A p` output field.
+struct DistCgWorkspace<'w> {
+    dist: &'w mut DistWorkspace,
+    ap: FermionField,
+}
+
+impl Workspace<FermionField> for DistCgWorkspace<'_> {
+    fn ap(&self) -> &FermionField {
+        &self.ap
+    }
+}
+
+/// Ring-allgather reductions: every scalar is globally canonical
+/// ([`DistWilson::canon_norm2`], [`DistWilson::canon_inner_re`]), identical
+/// on every rank at every rank count. The fused update sweep's rank-local
+/// `|r|²` is discarded.
+struct Ring<'d, 'c>(&'d DistWilson<'c>);
+
+impl<'w> Reduction<FermionField, DistCgWorkspace<'w>> for Ring<'_, '_> {
+    type Out = ();
+    fn curvature(&mut self, _out: (), p: &FermionField, w: &mut DistCgWorkspace<'w>) -> [f64; 1] {
+        [self.0.canon_inner_re(p, &w.ap, w.dist)]
+    }
+    fn norm2(&mut self, v: &FermionField, w: &mut DistCgWorkspace<'w>) -> [f64; 1] {
+        [self.0.canon_norm2(v, w.dist)]
+    }
+    fn inner_re(
+        &mut self,
+        a: &FermionField,
+        b: &FermionField,
+        w: &mut DistCgWorkspace<'w>,
+    ) -> [f64; 1] {
+        [self.0.canon_inner_re(a, b, w.dist)]
+    }
 }
 
 /// [`dist_cg_ws`] with an internally allocated workspace.

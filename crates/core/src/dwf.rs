@@ -20,6 +20,7 @@
 
 use crate::dirac::{gamma5, WilsonDirac};
 use crate::field::{spinor_comp, FermionField, GaugeField};
+use crate::krylov::{Cg, Local, Single, Workspace};
 use crate::layout::NCOLOR;
 use crate::solver::SolveReport;
 use crate::Complex;
@@ -274,63 +275,36 @@ pub fn r5_gamma5(psi: &Fermion5) -> Fermion5 {
 ///
 /// Runs allocation-free in steady state: the `D ψ` intermediate and the
 /// operator output live in two preallocated 5-D workspaces reused across
-/// iterations, the residual update is the fused `axpy_norm2` sweep, and no
-/// per-iteration telemetry span is opened (span entry allocates; the
-/// solve-level span still collects flops and bytes).
+/// iterations, the residual update is the fused iterate/residual sweep per
+/// slice, and no per-iteration telemetry span is opened (span entry
+/// allocates; the solve-level span still collects flops and bytes).
 pub fn cg_dwf(op: &DomainWall, b: &Fermion5, tol: f64, max_iter: usize) -> (Fermion5, SolveReport) {
-    let b_norm2 = b.norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
     let grid = b.slices[0].grid().clone();
     let span = qcd_trace::span!("solver.cg_dwf", grid.engine().ctx());
-    let ls = b.ls();
-    let mut x = Fermion5::zero(grid.clone(), ls);
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut tmp = Fermion5::zero(grid.clone(), ls);
-    let mut ap = Fermion5::zero(grid.clone(), ls);
-    let mut r2 = r.norm2();
-    let target = tol * tol * b_norm2;
-    let mut history = Vec::with_capacity(max_iter + 1);
-    history.push((r2 / b_norm2).sqrt());
-    let mut monitor = qcd_metrics::HealthMonitor::new("solver.cg_dwf");
-    monitor.replay(&history);
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > target {
-        op.ddag_d_into(&p, &mut tmp, &mut ap);
-        let p_ap = p.inner(&ap).re;
-        assert!(p_ap > 0.0, "operator not HPD?");
-        let alpha = r2 / p_ap;
-        x.axpy_inplace(alpha, &p);
-        let r2_new = r.axpy_norm2(-alpha, &ap);
-        p.aypx(r2_new / r2, &r);
-        r2 = r2_new;
-        iterations += 1;
-        let rel = (r2 / b_norm2).sqrt();
-        history.push(rel);
-        monitor.observe(rel);
-    }
-    // True residual check, reusing the workspaces and the spent residual.
-    op.ddag_d_into(&x, &mut tmp, &mut ap);
-    r.sub(b, &ap);
-    let residual = (r.norm2() / b_norm2).sqrt();
-    let (capped, _kept) = qcd_metrics::bound_history(
-        &history,
-        &monitor.flagged_iterations(),
-        crate::solver::HISTORY_CAP,
-    );
-    qcd_metrics::histogram("solver.cg_dwf.iterations").record(iterations as u64);
-    qcd_metrics::counter("solver.solves").inc();
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged: r2 <= target,
-            history: capped,
-            health: monitor.into_events(),
-            telemetry: span.finish(),
-        },
+    let mut ws = DwfWorkspace {
+        tmp: Fermion5::zero(grid.clone(), b.ls()),
+        ap: Fermion5::zero(grid.clone(), b.ls()),
+    };
+    Cg::new("solver.cg_dwf", tol, max_iter).solve(
+        span,
+        b,
+        Single::new(b),
+        &mut ws,
+        Local,
+        |p, ws: &mut DwfWorkspace| op.ddag_d_into(p, &mut ws.tmp, &mut ws.ap),
     )
+}
+
+/// `D ψ` intermediate and `D†D ψ` output of the domain-wall normal operator.
+struct DwfWorkspace {
+    tmp: Fermion5,
+    ap: Fermion5,
+}
+
+impl Workspace<Fermion5> for DwfWorkspace {
+    fn ap(&self) -> &Fermion5 {
+        &self.ap
+    }
 }
 
 #[cfg(test)]

@@ -24,10 +24,11 @@
 
 use crate::dirac::{gamma5_block_inplace, gamma5_inplace, WilsonDirac};
 use crate::field::{FermionBlock, FermionField, Field, FieldKind};
+use crate::krylov::{Cg, Fused};
 use crate::layout::{delex, Grid, NDIM};
 use crate::solver::{
-    block_cg_ws_from_state, cg_ws_from_state, BlockCgState, BlockSolveReport, BlockWorkspace,
-    CgState, SolveReport, SolverWorkspace,
+    block_cg_ws_from_state, BlockCgState, BlockSolveReport, BlockWorkspace, CgState, SolveReport,
+    SolverWorkspace,
 };
 use std::sync::Arc;
 use sve::PReg;
@@ -152,8 +153,15 @@ pub fn solve_eo(
         gamma5_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
         v.inner(ap).re
     };
-    let state = CgState::new(&rhs);
-    let (xe, inner_report) = cg_ws_from_state(apply, &rhs, &mut ws, state, tol, max_iter);
+    let cg_span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+    let (xe, inner_report) = Cg::new("solver.cg", tol, max_iter).solve(
+        cg_span,
+        &rhs,
+        CgState::new(&rhs),
+        &mut ws,
+        Fused,
+        |v: &FermionField, ws: &mut SolverWorkspace| [apply(v, ws)],
+    );
 
     // Back-substitution: x_o = (b_o + ½ D_oe x_e) / a.
     let xo = &mut ws.hop;

@@ -1148,6 +1148,25 @@ impl<E: SveFloat> FermionBlock<E> {
         }
     }
 
+    /// Per-RHS canonical squared norms through a caller-held scatter
+    /// buffer (resized to `nrhs × volume`): RHS `j` is bit-identical to
+    /// [`Field::canonical_norm2`] of the extracted field.
+    pub fn canonical_norms2(&self, buf: &mut Vec<f64>) -> Vec<f64> {
+        let vol = self.grid.volume();
+        buf.resize(self.nrhs * vol, 0.0);
+        self.site_norms2_lex(buf);
+        buf.chunks_exact(vol).map(reduce::canonical_sum).collect()
+    }
+
+    /// Per-RHS canonical real inner products — the block counterpart of
+    /// [`Field::canonical_inner_re`].
+    pub fn canonical_inners_re(&self, other: &FermionBlock<E>, buf: &mut Vec<f64>) -> Vec<f64> {
+        let vol = self.grid.volume();
+        buf.resize(self.nrhs * vol, 0.0);
+        self.site_inners_re_lex(other, buf);
+        buf.chunks_exact(vol).map(reduce::canonical_sum).collect()
+    }
+
     /// Fused `self = x - y; per-RHS |self|²` in one sweep — the block form
     /// of [`Field::sub_norm2`], used for the batched true-residual check.
     pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>) -> Vec<f64> {

@@ -57,6 +57,7 @@ pub mod dwf;
 pub mod eo;
 pub mod field;
 pub mod gauge;
+pub mod krylov;
 pub mod layout;
 pub mod mixed;
 pub mod reduce;
@@ -108,18 +109,16 @@ pub mod prelude {
     pub use crate::layout::Grid;
     pub use crate::mixed::{
         f16_canonical_inner_re, f16_canonical_norm2, f16_site_inner_re_lex, f16_site_norm2_lex,
-        ladder_solve, ladder_solve_from, mixed_precision_solve, mixed_precision_solve_from,
-        to_precision, to_precision_into, LadderConfig, LadderReport, MixedReport,
-        F16_RESIDUAL_FLOOR,
+        ladder_solve, ladder_solve_from, to_precision, to_precision_into, LadderConfig,
+        LadderReport, F16_RESIDUAL_FLOOR,
     };
     pub use crate::requests::{solve_cg_requests, solve_eo_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
     pub use crate::solver::{
         bicgstab, bicgstab_from_state, block_cg, block_cg_ws, block_cg_ws_from_state, cg,
-        cg_canonical_ws, cg_op, cg_op_from_state, cg_ws, cg_ws_from_state, solve_wilson,
-        BicgStabState, BlockCgState, BlockSolveReport, BlockWorkspace, CgState, SolveReport,
-        SolverWorkspace,
+        cg_canonical_ws, cg_op, cg_ws, solve_wilson, BicgStabState, BlockCgState, BlockSolveReport,
+        BlockWorkspace, CgState, SolveReport, SolverWorkspace,
     };
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{

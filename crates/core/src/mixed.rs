@@ -16,13 +16,15 @@
 //! genuine re-layout, exactly as in Grid (separate `GridF`/`GridD`).
 
 use crate::dirac::WilsonDirac;
-use crate::field::{cg_update_x_r, FermionKind, Field, FieldKind};
+use crate::field::{FermionKind, Field, FieldKind};
+use crate::krylov::{After, Cg, Reduction, Stop};
 use crate::layout::Grid;
 use crate::reduce;
-use crate::solver::{cg_canonical_ws, cg_ws, SolverWorkspace};
+use crate::solver::{cg_canonical_ws, CgState, SolverWorkspace};
 use crate::FermionField;
 use qcd_metrics::{HealthEvent, HealthMonitor};
 use rayon::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::{Opcode, SveFloat, F16};
 
@@ -59,114 +61,6 @@ pub fn to_precision<K: FieldKind, E1: SveFloat, E2: SveFloat>(
     let mut out = Field::<K, E2>::zero(grid2.clone());
     to_precision_into(f, &mut out);
     out
-}
-
-/// Report of a mixed-precision solve.
-#[derive(Clone, Debug)]
-pub struct MixedReport {
-    /// Outer (double-precision) defect-correction steps.
-    pub outer_iterations: usize,
-    /// Total inner (single-precision) CG iterations.
-    pub inner_iterations: usize,
-    /// Final true relative residual in double precision.
-    pub residual: f64,
-    /// Whether the target tolerance was reached.
-    pub converged: bool,
-    /// Vector instructions retired on the f32 context.
-    pub f32_instructions: u64,
-    /// Vector instructions retired on the f64 context during the solve
-    /// (approximate: counter delta on the operator's context).
-    pub f64_instructions: u64,
-}
-
-/// Mixed-precision defect-correction solve of `M x = b`: inner CG on the
-/// single-precision normal equations, outer double-precision residual
-/// correction — Grid's `MixedPrecisionConjugateGradient` scheme.
-pub fn mixed_precision_solve(
-    op: &WilsonDirac<f64>,
-    b: &FermionField,
-    tol: f64,
-    inner_tol: f64,
-    max_outer: usize,
-    max_inner: usize,
-) -> (FermionField, MixedReport) {
-    let x0 = FermionField::zero(b.grid().clone());
-    mixed_precision_solve_from(op, b, x0, tol, inner_tol, max_outer, max_inner)
-}
-
-/// Mixed-precision defect correction from an arbitrary initial guess `x0` —
-/// the resume entry point: a checkpoint of a mixed solve is just the
-/// current double-precision iterate, because the outer loop recomputes the
-/// defect from scratch each round (defect correction is self-correcting,
-/// so restarting from a saved `x` loses no accuracy, only the inner
-/// iterations already spent).
-pub fn mixed_precision_solve_from(
-    op: &WilsonDirac<f64>,
-    b: &FermionField,
-    x0: FermionField,
-    tol: f64,
-    inner_tol: f64,
-    max_outer: usize,
-    max_inner: usize,
-) -> (FermionField, MixedReport) {
-    let grid64 = b.grid().clone();
-    let _span = qcd_trace::span!("solver.mixed", grid64.engine().ctx());
-    let grid32 = Grid::<f32>::new(grid64.fdims(), grid64.vl(), grid64.engine().backend());
-    let f64_before = grid64.engine().ctx().counters().total();
-
-    // Single-precision replica of the operator.
-    let u32 = to_precision(op.gauge(), &grid32);
-    let op32 = WilsonDirac::<f32>::new(u32, op.mass);
-
-    let b_norm2 = b.norm2();
-    assert!(b_norm2 > 0.0, "mixed solve needs a nonzero right-hand side");
-    let mut x = x0;
-    let mut outer = 0;
-    let mut inner_total = 0;
-    let mut residual = 1.0;
-
-    // All outer-loop buffers and the inner solver's workspace are hoisted
-    // out of the restart loop: the defect-correction rounds reuse the same
-    // storage end to end.
-    let mut ax = FermionField::zero(grid64.clone());
-    let mut r = FermionField::zero(grid64.clone());
-    let mut d64 = FermionField::zero(grid64.clone());
-    let mut r32 = Field::<crate::field::FermionKind, f32>::zero(grid32.clone());
-    let mut rhs32 = Field::<crate::field::FermionKind, f32>::zero(grid32.clone());
-    let mut ws32 = SolverWorkspace::<f32>::new(grid32.clone());
-
-    while outer < max_outer {
-        // Double-precision defect (fused subtract-and-norm sweep).
-        op.apply_into(&x, &mut ax);
-        residual = (r.sub_norm2(b, &ax) / b_norm2).sqrt();
-        if residual <= tol {
-            break;
-        }
-        // Inner solve M d = r in single precision (normal equations),
-        // through the persistent workspace.
-        to_precision_into(&r, &mut r32);
-        op32.apply_dag_into(&r32, &mut rhs32);
-        let (d32, inner_report) = cg_ws(&op32, &rhs32, &mut ws32, inner_tol, max_inner);
-        inner_total += inner_report.iterations;
-        // Prolongate and correct.
-        to_precision_into(&d32, &mut d64);
-        x.add_assign_field(&d64);
-        outer += 1;
-    }
-
-    let f32_instructions = grid32.engine().ctx().counters().total();
-    let f64_instructions = grid64.engine().ctx().counters().total() - f64_before;
-    (
-        x,
-        MixedReport {
-            outer_iterations: outer,
-            inner_iterations: inner_total,
-            residual,
-            converged: residual <= tol,
-            f32_instructions,
-            f64_instructions,
-        },
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -290,10 +184,6 @@ pub struct LadderConfig {
     /// itself (f16 → f32) at runtime; [`LadderReport::f16_active_at_exit`]
     /// reports the final state so a resume can carry it over.
     pub use_f16: bool,
-    /// Stall window of the inner-tier health monitor.
-    pub stall_window: usize,
-    /// Divergence factor of the inner-tier health monitor.
-    pub divergence_factor: f64,
 }
 
 impl LadderConfig {
@@ -307,8 +197,6 @@ impl LadderConfig {
             max_inner: 500,
             max_cycles: 8,
             use_f16: true,
-            stall_window: qcd_metrics::DEFAULT_STALL_WINDOW,
-            divergence_factor: qcd_metrics::DEFAULT_DIVERGENCE_FACTOR,
         }
     }
 
@@ -364,74 +252,105 @@ pub struct LadderReport {
 struct F16Tier {
     op: WilsonDirac<F16>,
     b: Field<FermionKind, F16>,
-    x: Field<FermionKind, F16>,
-    r: Field<FermionKind, F16>,
-    p: Field<FermionKind, F16>,
+    state: CgState<F16>,
     ws: SolverWorkspace<F16>,
+    reduce: CanonicalF16,
+}
+
+/// Canonical reductions of the binary16 tier: lexicographic scatters with
+/// f32 per-site accumulation ([`f16_canonical_norm2`],
+/// [`f16_canonical_inner_re`]), so the inner recurrence is VL- and
+/// thread-invariant. The fused sweep's layout-dependent `|r|²` is
+/// discarded.
+struct CanonicalF16 {
+    site_buf: Vec<f64>,
+}
+
+impl Reduction<Field<FermionKind, F16>, SolverWorkspace<F16>> for CanonicalF16 {
+    type Out = ();
+    fn curvature(
+        &mut self,
+        _out: (),
+        p: &Field<FermionKind, F16>,
+        ws: &mut SolverWorkspace<F16>,
+    ) -> [f64; 1] {
+        [f16_canonical_inner_re(p, &ws.ap, &mut self.site_buf)]
+    }
+    fn norm2(&mut self, v: &Field<FermionKind, F16>, _ws: &mut SolverWorkspace<F16>) -> [f64; 1] {
+        [f16_canonical_norm2(v, &mut self.site_buf)]
+    }
+    fn inner_re(
+        &mut self,
+        a: &Field<FermionKind, F16>,
+        b: &Field<FermionKind, F16>,
+        _ws: &mut SolverWorkspace<F16>,
+    ) -> [f64; 1] {
+        [f16_canonical_inner_re(a, b, &mut self.site_buf)]
+    }
 }
 
 /// One binary16 inner-CG cycle on the normalized residual system
-/// `A†A e = ŝ`, with canonical f32-accumulated steering scalars. Appends
-/// per-iteration relative residuals to `history` and feeds them to
-/// `monitor`; returns `(iterations, aborted)` where `aborted` means the
-/// monitor raised an episode (stall / divergence / non-finite) and the
+/// `A†A e = ŝ`, run by the Krylov core with canonical f32-accumulated
+/// steering scalars. Appends the cycle's relative residuals to `history`
+/// and feeds them to `monitor`; returns `(iterations, aborted)` where
+/// `aborted` means the monitor raised an episode (stall / divergence /
+/// non-finite, including a curvature lost to binary16 noise) and the
 /// caller must demote the tier.
-#[allow(clippy::too_many_arguments)]
 fn f16_cycle(
     t: &mut F16Tier,
-    site_buf: &mut [f64],
     tol: f64,
     max_iter: usize,
     monitor: &mut HealthMonitor,
     history: &mut Vec<f64>,
 ) -> (usize, bool) {
     // x = 0, r = p = b  (computed as b − A·0 so no copy primitive is needed).
-    t.x.scale(0.0);
-    t.op.mdag_m_into(&t.x, &mut t.ws.tmp, &mut t.ws.ap);
-    t.r.sub(&t.b, &t.ws.ap);
-    t.p.sub(&t.b, &t.ws.ap);
-    let b2 = f16_canonical_norm2(&t.b, site_buf);
+    let st = &mut t.state;
+    st.x.scale(0.0);
+    t.op.mdag_m_into(&st.x, &mut t.ws.tmp, &mut t.ws.ap);
+    st.r.sub(&t.b, &t.ws.ap);
+    st.p.sub(&t.b, &t.ws.ap);
+    let [b2] = t.reduce.norm2(&t.b, &mut t.ws);
     if b2.is_nan() || b2 <= 0.0 {
         // The residual underflowed binary16 entirely: nothing to solve at
         // this tier.
         monitor.observe(f64::NAN);
         return (0, true);
     }
-    let mut r2 = f16_canonical_norm2(&t.r, site_buf);
-    history.push((r2 / b2).sqrt());
-    let events_at_entry = monitor.events().len();
-    monitor.observe(*history.last().unwrap());
+    let [r2] = t.reduce.norm2(&st.r, &mut t.ws);
+    st.r2 = r2;
+    st.b_norm2 = b2;
+    st.iterations = 0;
+    st.history.clear();
+    st.history.push((r2 / b2).sqrt());
+    monitor.replay(&st.history);
 
-    let mut iterations = 0;
-    let mut aborted = false;
-    while iterations < max_iter && r2 > tol * tol * b2 {
-        t.op.mdag_m_into(&t.p, &mut t.ws.tmp, &mut t.ws.ap);
-        let p_ap = f16_canonical_inner_re(&t.p, &t.ws.ap, site_buf);
-        if p_ap.is_nan() || p_ap <= 0.0 {
-            // Curvature lost to binary16 noise — surface it as a
-            // non-finite episode and demote.
-            monitor.observe(f64::NAN);
-            aborted = true;
-            break;
+    // Any health episode aborts the cycle.
+    let abort_on_event = After(|_: &CgState<F16>, monitors: &[HealthMonitor]| {
+        if monitors[0].events().is_empty() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
-        let alpha = r2 / p_ap;
-        // The fused sweep's returned |r|² is layout-dependent; discard it
-        // and recompute canonically (f32-accumulated) so the trajectory is
-        // VL- and thread-invariant.
-        let _ = cg_update_x_r(&mut t.x, &mut t.r, alpha, &t.p, &t.ws.ap);
-        let r2_new = f16_canonical_norm2(&t.r, site_buf);
-        let beta = r2_new / r2;
-        t.p.aypx(beta, &t.r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b2).sqrt());
-        monitor.observe(*history.last().unwrap());
-        if monitor.events().len() > events_at_entry {
-            aborted = true;
-            break;
-        }
+    });
+    let op = &t.op;
+    let stop = Cg::new("solver.ladder.f16", tol, max_iter)
+        .with_hook(abort_on_event)
+        .iterate(
+            st,
+            &mut t.ws,
+            &mut t.reduce,
+            &mut |p: &Field<FermionKind, F16>, ws: &mut SolverWorkspace<F16>| {
+                op.mdag_m_into(p, &mut ws.tmp, &mut ws.ap)
+            },
+            std::slice::from_mut(monitor),
+        );
+    history.extend_from_slice(&st.history);
+    if let Stop::Breakdown(_) = stop {
+        // Curvature lost to binary16 noise — surface it as a non-finite
+        // episode and demote.
+        monitor.observe(f64::NAN);
     }
-    (iterations, aborted)
+    (st.iterations, stop != Stop::Done)
 }
 
 /// Three-level reliable-update mixed-precision solve of `M x = b`:
@@ -491,13 +410,23 @@ pub fn ladder_solve_from(
     let mut tier16 = if f16_on {
         let grid16 = Grid::<F16>::new(grid64.fdims(), grid64.vl(), grid64.engine().backend());
         let u16f = to_precision(op.gauge(), &grid16);
+        let zero = Field::<FermionKind, F16>::zero(grid16.clone());
         Some(F16Tier {
             op: WilsonDirac::<F16>::new(u16f, op.mass),
-            b: Field::zero(grid16.clone()),
-            x: Field::zero(grid16.clone()),
-            r: Field::zero(grid16.clone()),
-            p: Field::zero(grid16.clone()),
+            b: zero.clone(),
+            state: CgState {
+                x: zero.clone(),
+                r: zero.clone(),
+                p: zero,
+                r2: 0.0,
+                b_norm2: 0.0,
+                iterations: 0,
+                history: Vec::with_capacity(cfg.max_inner + 1),
+            },
             ws: SolverWorkspace::<F16>::new(grid16),
+            reduce: CanonicalF16 {
+                site_buf: vec![0.0; volume],
+            },
         })
     } else {
         None
@@ -529,7 +458,6 @@ pub fn ladder_solve_from(
     let mut s32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut e32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut ws32 = SolverWorkspace::<f32>::new(grid32.clone());
-    let mut site_buf = vec![0.0f64; volume];
 
     loop {
         // Double-precision defect, canonically reduced.
@@ -568,11 +496,7 @@ pub fn ladder_solve_from(
                     ("rel_residual", rel),
                 ],
             );
-            let mut monitor = HealthMonitor::with_thresholds(
-                "solver.ladder.f16",
-                cfg.stall_window,
-                cfg.divergence_factor,
-            );
+            let mut monitor = HealthMonitor::new("solver.ladder.f16");
             let (it, aborted) = {
                 let g16 = t.b.grid().clone();
                 let _t16 = qcd_trace::span!("solver.tier.f16", g16.engine().ctx());
@@ -582,7 +506,6 @@ pub fn ladder_solve_from(
                 to_precision_into(&s32, &mut t.b);
                 f16_cycle(
                     t,
-                    &mut site_buf,
                     cycle_tol,
                     cfg.max_inner,
                     &mut monitor,
@@ -615,7 +538,7 @@ pub fn ladder_solve_from(
             // recompute the true f32 residual of the accumulated `d32`.
             {
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
-                to_precision_into(&t.x, &mut e32);
+                to_precision_into(&t.state.x, &mut e32);
                 d32.axpy_inplace(scale, &e32);
                 op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
                 s32.sub(&rhs32, &ws32.ap);
@@ -771,7 +694,7 @@ mod tests {
         // The inner solver is single precision (can't go below ~1e-6), yet
         // defect correction drives the f64 residual to 1e-10.
         let (op, b) = setup();
-        let (x, report) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 500);
+        let (x, report) = ladder_solve(&op, &b, &LadderConfig::f32_only(1e-10));
         assert!(report.converged, "{report:?}");
         assert!(report.residual <= 1e-10, "residual {}", report.residual);
         assert!(report.outer_iterations >= 2, "needs multiple corrections");
@@ -784,17 +707,20 @@ mod tests {
 
     #[test]
     fn mixed_solve_resumed_from_an_iterate_still_converges() {
-        // Kill a mixed solve after a couple of outer rounds, keep only the
-        // f64 iterate (the mixed checkpoint payload), resume from it: same
-        // final accuracy, strictly fewer additional outer rounds than a
-        // cold start.
+        // Kill an f32-only ladder after a couple of outer rounds, keep only
+        // the f64 iterate (the mixed checkpoint payload), resume from it:
+        // same final accuracy, strictly fewer additional outer rounds than
+        // a cold start.
         let (op, b) = setup();
-        let (x_partial, partial) = mixed_precision_solve(&op, &b, 1e-4, 1e-4, 2, 500);
+        let mut cut = LadderConfig::f32_only(1e-4);
+        cut.max_outer = 2;
+        let (x_partial, partial) = ladder_solve(&op, &b, &cut);
         assert!(partial.outer_iterations <= 2);
-        let (x, resumed) = mixed_precision_solve_from(&op, &b, x_partial, 1e-10, 1e-4, 30, 500);
+        let cfg = LadderConfig::f32_only(1e-10);
+        let (x, resumed) = ladder_solve_from(&op, &b, x_partial, &cfg);
         assert!(resumed.converged, "{resumed:?}");
         assert!(resumed.residual <= 1e-10);
-        let (_, cold) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 500);
+        let (_, cold) = ladder_solve(&op, &b, &cfg);
         assert!(
             resumed.outer_iterations < cold.outer_iterations,
             "resume must reuse the checkpointed progress ({} vs {})",
@@ -916,13 +842,13 @@ mod tests {
     #[test]
     fn bulk_of_the_work_runs_in_single_precision() {
         let (op, b) = setup();
-        let (_, report) = mixed_precision_solve(&op, &b, 1e-9, 1e-4, 30, 500);
+        let (_, report) = ladder_solve(&op, &b, &LadderConfig::f32_only(1e-9));
         assert!(
             report.f32_instructions > 4 * report.f64_instructions,
             "f32 {} vs f64 {}",
             report.f32_instructions,
             report.f64_instructions
         );
-        assert!(report.inner_iterations > 10 * report.outer_iterations);
+        assert!(report.f32_iterations > 10 * report.outer_iterations);
     }
 }

@@ -8,24 +8,35 @@
 //! (`axpy`, inner products, norms), so every arithmetic instruction they
 //! retire is visible to the SVE counters.
 //!
-//! # Allocation-free steady state
+//! # One recurrence, two faces
 //!
-//! Every solver has two faces. The closure-based entry points ([`cg_op`],
-//! [`CgState::step`]) allocate the operator output each iteration — simple,
-//! and the shape the checkpoint layer wraps. The workspace entry points
-//! ([`cg_ws`], [`CgState::step_ws`], [`BicgStabState::step_ws`]) instead
-//! thread a preallocated [`SolverWorkspace`] through every iteration: the
-//! operator writes into workspace fields, the linear algebra runs through
-//! the fused sweeps of [`crate::field`], and a steady-state iteration
-//! performs **zero** heap allocations. The two faces are bit-identical —
-//! the fused kernels retire the same engine ops per word in the same
-//! deterministic chunk-tree order — so a checkpoint taken on either path
-//! resumes exactly on the other.
+//! Every CG entry point here is a thin constructor over the single
+//! Hestenes–Stiefel loop of [`crate::krylov`], choosing by type how the
+//! steering scalars are reduced:
+//!
+//! * layout-local, the fast path: the fused `|r|²` of the update sweep,
+//!   with the curvature either fused into the operator ([`cg_ws`], [`cg`],
+//!   the block solvers) or a separate inner product ([`cg_op`]);
+//! * canonical ([`cg_canonical_ws`]): lexicographic scatters through the
+//!   fixed chunk tree, bit-identical across vector lengths and thread
+//!   counts;
+//! * ring-allgather: the canonical sums across ranks (`crate::dist`).
+//!
+//! The closure entry points ([`cg_op`], [`CgState::step`]) allocate the
+//! operator output each iteration — simple, and the shape the checkpoint
+//! layer wraps. The workspace entry points ([`cg_ws`], [`CgState::step_ws`],
+//! [`BicgStabState::step_ws`]) instead thread a preallocated
+//! [`SolverWorkspace`] through every iteration: the operator writes into
+//! workspace fields, the linear algebra runs through the fused sweeps of
+//! [`crate::field`], and a steady-state iteration performs **zero** heap
+//! allocations. The two faces are bit-identical — the fused kernels retire
+//! the same engine ops per word in the same deterministic chunk-tree order
+//! — so a checkpoint taken on either path resumes exactly on the other.
+//! BiCGStab is a different recurrence and keeps its own loop.
 
 use crate::dirac::WilsonDirac;
-use crate::field::{
-    block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionField, FermionKind, Field,
-};
+use crate::field::{FermionBlock, FermionField, FermionKind, Field};
+use crate::krylov::{self, Canonical, Cg, Fused, IterSpans, Local};
 use crate::layout::Grid;
 use qcd_metrics::{HealthEvent, HealthMonitor};
 use std::sync::Arc;
@@ -57,21 +68,6 @@ pub struct SolveReport {
     /// Profile of the solve: wall time, per-iteration child time, and the
     /// SVE instruction delta the solve retired (see [`qcd_trace`]).
     pub telemetry: qcd_trace::RegionSummary,
-}
-
-/// Build the reported (capped) history and the health-event list from a
-/// finished monitor, and feed the solve-level metrics. The monitor must
-/// have observed every entry of `history` — restored prefix replayed, new
-/// entries observed live — so a resumed solve reports exactly what the
-/// uninterrupted one would. Thin wrapper over
-/// [`qcd_metrics::conclude_solver_health`] at [`HISTORY_CAP`].
-pub(crate) fn conclude_health(
-    region: &str,
-    monitor: HealthMonitor,
-    history: &[f64],
-    iterations: usize,
-) -> (Vec<f64>, Vec<HealthEvent>) {
-    qcd_metrics::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
 }
 
 /// Preallocated scratch fields for the allocation-free solver paths: built
@@ -107,85 +103,22 @@ impl<E: SveFloat> SolverWorkspace<E> {
     }
 }
 
-/// The complete state of an in-flight Conjugate Gradient solve.
-///
-/// Every scalar and vector of the Hestenes–Stiefel recurrence lives here,
-/// which makes the struct the unit of checkpoint/restart: snapshot the
-/// fields (`x`, `r`, `p`) and scalars mid-solve, kill the process, rebuild
-/// the state, and [`CgState::step`] continues *bit-identically* — every
-/// quantity below is exactly the same f64 data an uninterrupted run would
-/// hold. `qcd-io`'s `SolverCheckpoint` serializes exactly these members.
-#[derive(Clone)]
-pub struct CgState<E: SveFloat = f64> {
-    /// Current solution estimate.
-    pub x: Field<FermionKind, E>,
-    /// Recurrence residual `b - A x`.
-    pub r: Field<FermionKind, E>,
-    /// Search direction.
-    pub p: Field<FermionKind, E>,
-    /// Squared norm of `r` (recurrence value, not recomputed).
-    pub r2: f64,
-    /// Squared norm of the right-hand side (fixes the relative target).
-    pub b_norm2: f64,
-    /// Iterations completed so far.
-    pub iterations: usize,
-    /// Relative residual history, entry 0 = before the first iteration.
-    pub history: Vec<f64>,
-}
+/// The complete state of an in-flight Conjugate Gradient solve on one
+/// fermion field — the [`krylov::Single`] recurrence state, and the unit of
+/// checkpoint/restart: snapshot the fields (`x`, `r`, `p`) and scalars
+/// mid-solve, kill the process, rebuild the state, and the solve continues
+/// *bit-identically*. `qcd-io`'s `SolverCheckpoint` serializes exactly these
+/// members.
+pub type CgState<E = f64> = krylov::Single<Field<FermionKind, E>>;
 
 impl<E: SveFloat> CgState<E> {
-    /// Fresh state for solving `A x = b` from the zero initial guess.
-    pub fn new(b: &Field<FermionKind, E>) -> Self {
-        let grid = b.grid().clone();
-        let b_norm2 = b.norm2();
-        assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-        let x = Field::<FermionKind, E>::zero(grid);
-        let r = b.clone(); // r = b - A*0
-        let p = r.clone();
-        let r2 = r.norm2();
-        CgState {
-            x,
-            r,
-            p,
-            r2,
-            b_norm2,
-            iterations: 0,
-            history: vec![(r2 / b_norm2).sqrt()],
-        }
-    }
-
-    /// Whether the recurrence residual is at or below `tol` relative to
-    /// `|b|`.
-    pub fn converged(&self, tol: f64) -> bool {
-        self.r2 <= tol * tol * self.b_norm2
-    }
-
-    /// The Hestenes–Stiefel recurrence tail shared by [`Self::step`] and
-    /// [`Self::step_ws`], entered once `A p` and the curvature `p·Ap` are
-    /// in hand: the fused iterate/residual sweep of [`cg_update_x_r`]
-    /// (`x += α p`, `r −= α Ap`, new `|r|²` out of the same pass) followed
-    /// by the search-direction update.
-    fn advance(&mut self, p_ap: f64, ap: &Field<FermionKind, E>) {
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = self.r2 / p_ap;
-        let r2_new = cg_update_x_r(&mut self.x, &mut self.r, alpha, &self.p, ap);
-        let beta = r2_new / self.r2;
-        self.p.aypx(beta, &self.r); // p = r + beta p
-        self.r2 = r2_new;
-        self.iterations += 1;
-        self.history.push((self.r2 / self.b_norm2).sqrt());
-    }
-
-    /// One Hestenes–Stiefel iteration under a per-iteration telemetry span.
+    /// One Hestenes–Stiefel iteration under a per-iteration telemetry span,
+    /// the operator supplied as an allocating closure.
     pub fn step(&mut self, apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>) {
         let grid = self.x.grid().clone();
         let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
-        let ap = apply(&self.p);
-        let p_ap = self.p.inner(&ap).re;
-        self.advance(p_ap, &ap);
+        let mut op = |p: &Field<FermionKind, E>, ap: &mut Option<_>| *ap = Some(apply(p));
+        krylov::step(self, &mut None, &mut Local, &mut op, &[true]);
     }
 
     /// One Hestenes–Stiefel iteration through caller-provided storage.
@@ -196,119 +129,41 @@ impl<E: SveFloat> CgState<E> {
     /// dot comes fused out of the second hopping sweep
     /// ([`WilsonDirac::mdag_m_into_dot`]). No telemetry span is opened
     /// here: span entry allocates its path string, and this is the
-    /// allocation-free path (the enclosing solve-level span still
-    /// attributes flops and bytes). The history push is amortized — the
-    /// driving loops reserve capacity up front.
+    /// allocation-free path. The history push is amortized — the driving
+    /// solve reserves capacity up front.
     pub fn step_ws(
         &mut self,
         ws: &mut SolverWorkspace<E>,
         apply_into: &mut impl FnMut(&Field<FermionKind, E>, &mut SolverWorkspace<E>) -> f64,
     ) {
-        let p_ap = apply_into(&self.p, ws);
-        self.advance(p_ap, &ws.ap);
+        let mut op = |p: &Field<FermionKind, E>, ws: &mut SolverWorkspace<E>| [apply_into(p, ws)];
+        krylov::step(self, ws, &mut Fused, &mut op, &[true]);
     }
 }
 
 /// Conjugate Gradient on an arbitrary hermitian positive-definite operator,
 /// supplied as a closure (the shape Grid's `ConjugateGradient` template
 /// takes). Standard Hestenes–Stiefel recurrence; `tol` is relative to `|b|`.
+/// Every iteration runs under an `iter` span.
 pub fn cg_op<E: SveFloat>(
     apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>,
     b: &Field<FermionKind, E>,
     tol: f64,
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
-    cg_op_from_state(apply, b, CgState::new(b), tol, max_iter)
-}
-
-/// Continue a Conjugate Gradient solve from an arbitrary [`CgState`] —
-/// freshly built by [`CgState::new`] or restored from a checkpoint. The
-/// iteration budget `max_iter` counts *total* iterations including those
-/// already inside `state`, so a resumed solve stops at the same point the
-/// uninterrupted one would.
-pub fn cg_op_from_state<E: SveFloat>(
-    apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>,
-    b: &Field<FermionKind, E>,
-    mut state: CgState<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new("solver.cg");
-    monitor.replay(&state.history);
-
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step(&apply);
-        monitor.observe(*state.history.last().unwrap());
-    }
-
-    // True residual check (guards against recurrence drift).
-    let mut true_r = Field::<FermionKind, E>::zero(grid.clone());
-    true_r.sub(b, &apply(&state.x));
-    let residual = (true_r.norm2() / state.b_norm2).sqrt();
-    let converged = state.converged(tol);
-    let (history, health) = conclude_health("solver.cg", monitor, &state.history, state.iterations);
-    (
-        state.x,
-        SolveReport {
-            iterations: state.iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
-/// Continue an allocation-free Conjugate Gradient solve from an arbitrary
-/// [`CgState`] through a caller-provided [`SolverWorkspace`].
-///
-/// `apply_into` has the [`CgState::step_ws`] contract: evaluate the
-/// operator at the given field into `ws.ap` and return `Re ⟨p, A p⟩`.
-/// Bit-identical to [`cg_op_from_state`] with the matching allocating
-/// operator — same engine ops per word, same deterministic chunk-tree
-/// reductions; only the sweep structure and allocation count differ.
-pub fn cg_ws_from_state<E: SveFloat>(
-    mut apply_into: impl FnMut(&Field<FermionKind, E>, &mut SolverWorkspace<E>) -> f64,
-    b: &Field<FermionKind, E>,
-    ws: &mut SolverWorkspace<E>,
-    mut state: CgState<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    state
-        .history
-        .reserve((max_iter + 1).saturating_sub(state.history.len()));
-    let mut monitor = HealthMonitor::new("solver.cg");
-    monitor.replay(&state.history);
-
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step_ws(ws, &mut apply_into);
-        monitor.observe(*state.history.last().unwrap());
-    }
-
-    let converged = state.converged(tol);
-    // True residual check (guards against recurrence drift): `A x` lands in
-    // the workspace and the subtract-and-norm runs as one fused sweep
-    // through the spent search direction — no fresh field.
-    apply_into(&state.x, ws);
-    let residual = (state.p.sub_norm2(b, &ws.ap) / state.b_norm2).sqrt();
-    let (history, health) = conclude_health("solver.cg", monitor, &state.history, state.iterations);
-    (
-        state.x,
-        SolveReport {
-            iterations: state.iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
+    let ctx = grid.engine().ctx();
+    let span = qcd_trace::span!("solver.cg", ctx);
+    Cg::new("solver.cg", tol, max_iter)
+        .with_hook(IterSpans(ctx, ()))
+        .solve(
+            span,
+            b,
+            CgState::new(b),
+            &mut None,
+            Local,
+            |p, ap: &mut Option<_>| *ap = Some(apply(p)),
+        )
 }
 
 /// Conjugate Gradient on the Wilson normal equations through a reusable
@@ -321,16 +176,18 @@ pub fn cg_ws<E: SveFloat>(
     tol: f64,
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
-    cg_ws_from_state(
-        |p, ws| {
-            let SolverWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_into_dot(p, tmp, ap)
-        },
+    let grid = b.grid().clone();
+    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+    Cg::new("solver.cg", tol, max_iter).solve(
+        span,
         b,
-        ws,
         CgState::new(b),
-        tol,
-        max_iter,
+        ws,
+        Fused,
+        |p, ws: &mut SolverWorkspace<E>| {
+            let SolverWorkspace { tmp, ap, .. } = ws;
+            [op.mdag_m_into_dot(p, tmp, ap)]
+        },
     )
 }
 
@@ -348,16 +205,13 @@ pub fn cg<E: SveFloat>(
 }
 
 /// Conjugate Gradient on the Wilson normal equations with **canonical**
-/// steering scalars: every norm and curvature dot is a lexicographic
-/// per-site scatter summed through the fixed chunk tree
-/// ([`Field::canonical_norm2`] / [`Field::canonical_inner_re`]), so the
-/// residual history, iteration count and solution are bit-identical across
-/// vector lengths *and* thread counts — the invariance regime `dist_cg`
-/// and the `qcd-deflate` stack already maintain. The fused update sweep's
-/// layout-dependent reduction is discarded and recomputed canonically:
-/// slower per iteration than [`cg_ws`], layout-invariant in exchange.
-/// `region` labels the health monitor and the concluded metrics (e.g.
-/// `solver.ladder.f32`).
+/// steering scalars ([`Canonical`]): every norm and curvature dot is a
+/// lexicographic per-site scatter summed through the fixed chunk tree, so
+/// the residual history, iteration count and solution are bit-identical
+/// across vector lengths *and* thread counts — the invariance regime
+/// `dist_cg` and the `qcd-deflate` stack already maintain. Slower per
+/// iteration than [`cg_ws`], layout-invariant in exchange. `region` labels
+/// the health monitor and the concluded metrics (e.g. `solver.ladder.f32`).
 pub fn cg_canonical_ws<E: SveFloat>(
     op: &WilsonDirac<E>,
     b: &Field<FermionKind, E>,
@@ -368,54 +222,15 @@ pub fn cg_canonical_ws<E: SveFloat>(
 ) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.cg_canonical", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new(region);
-    let b_norm2 = b.canonical_norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = Field::<FermionKind, E>::zero(grid.clone());
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut r2 = r.canonical_norm2();
-    let mut history = vec![(r2 / b_norm2).sqrt()];
-    monitor.replay(&history);
-
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        op.mdag_m_into(&p, &mut ws.tmp, &mut ws.ap);
-        let p_ap = p.canonical_inner_re(&ws.ap);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = r2 / p_ap;
-        // The fused sweep's returned |r|² is layout-dependent; discard it
-        // and recompute canonically so the trajectory is VL-invariant.
-        let _ = cg_update_x_r(&mut x, &mut r, alpha, &p, &ws.ap);
-        let r2_new = r.canonical_norm2();
-        let beta = r2_new / r2;
-        p.aypx(beta, &r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    // True residual check (canonical, guards recurrence drift); the spent
-    // search direction serves as scratch.
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    p.sub(b, &ws.ap);
-    let residual = (p.canonical_norm2() / b_norm2).sqrt();
-    let (history, health) = conclude_health(region, monitor, &history, iterations);
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
+    let mut reduce = Canonical::default();
+    let state: CgState<E> = krylov::zero_start(b, &mut reduce, ws);
+    Cg::new(region, tol, max_iter).solve(
+        span,
+        b,
+        state,
+        ws,
+        reduce,
+        |p, ws: &mut SolverWorkspace<E>| op.mdag_m_into(p, &mut ws.tmp, &mut ws.ap),
     )
 }
 
@@ -523,28 +338,7 @@ pub struct BlockCgState<E: SveFloat = f64> {
 impl<E: SveFloat> BlockCgState<E> {
     /// Fresh state for solving `A x_j = b_j` from zero initial guesses.
     pub fn new(b: &FermionBlock<E>) -> Self {
-        let grid = b.grid().clone();
-        let nrhs = b.nrhs();
-        let b_norm2 = b.norms2();
-        for (j, &n) in b_norm2.iter().enumerate() {
-            assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
-        }
-        let x = FermionBlock::zero(grid, nrhs);
-        let r = b.clone();
-        let p = r.clone();
-        let r2 = r.norms2();
-        let histories = (0..nrhs)
-            .map(|j| vec![(r2[j] / b_norm2[j]).sqrt()])
-            .collect();
-        BlockCgState {
-            x,
-            r,
-            p,
-            r2,
-            b_norm2,
-            iterations: vec![0; nrhs],
-            histories,
-        }
+        krylov::local_start(b)
     }
 
     /// The batch width.
@@ -572,119 +366,37 @@ impl<E: SveFloat> BlockCgState<E> {
     /// `ws.ap` (over the whole batch — the sweep is uniform; frozen RHS
     /// carry converged data whose result is simply ignored) and returns the
     /// per-RHS curvatures `Re ⟨p_j, A p_j⟩`. Active RHS then run the exact
-    /// [`CgState::advance`] sequence through the masked fused sweeps;
-    /// inactive RHS are untouched.
+    /// single-RHS sequence through the masked fused sweeps; inactive RHS
+    /// are untouched.
     pub fn step_ws(
         &mut self,
         ws: &mut BlockWorkspace<E>,
         apply_into: &mut impl FnMut(&FermionBlock<E>, &mut BlockWorkspace<E>) -> Vec<f64>,
         active: &[bool],
     ) {
-        let nrhs = self.nrhs();
-        let p_ap = apply_into(&self.p, ws);
-        let mut alphas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                assert!(
-                    p_ap[j] > 0.0,
-                    "search direction has non-positive curvature: operator not HPD? (RHS {j})"
-                );
-                alphas[j] = self.r2[j] / p_ap[j];
-            }
-        }
-        let r2_new =
-            block_cg_update_x_r(&mut self.x, &mut self.r, &alphas, &self.p, &ws.ap, active);
-        let mut betas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                betas[j] = r2_new[j] / self.r2[j];
-            }
-        }
-        self.p.aypx_masked(&betas, &self.r, active);
-        for j in 0..nrhs {
-            if active[j] {
-                self.r2[j] = r2_new[j];
-                self.iterations[j] += 1;
-                self.histories[j].push((self.r2[j] / self.b_norm2[j]).sqrt());
-            }
-        }
+        krylov::step(self, ws, &mut Fused, apply_into, active);
     }
 }
 
 /// Continue an allocation-free **block** Conjugate Gradient solve from an
-/// arbitrary [`BlockCgState`] through a caller-provided [`BlockWorkspace`]
-/// — the batched [`cg_ws_from_state`]. The loop sweeps all RHS together
-/// until every one has converged or exhausted `max_iter`; per-RHS
-/// convergence masking freezes finished recurrences without branching the
-/// shared operator sweeps.
+/// arbitrary [`BlockCgState`] through a caller-provided [`BlockWorkspace`].
+/// The loop sweeps all RHS together until every one has converged or
+/// exhausted `max_iter`; per-RHS convergence masking freezes finished
+/// recurrences without branching the shared operator sweeps.
 ///
 /// RHS `j` of the solution, its history, and its reported residual are
 /// bit-identical to an independent single-RHS [`cg_ws`] solve of `b_j`.
 pub fn block_cg_ws_from_state<E: SveFloat>(
-    mut apply_into: impl FnMut(&FermionBlock<E>, &mut BlockWorkspace<E>) -> Vec<f64>,
+    apply_into: impl FnMut(&FermionBlock<E>, &mut BlockWorkspace<E>) -> Vec<f64>,
     b: &FermionBlock<E>,
     ws: &mut BlockWorkspace<E>,
-    mut state: BlockCgState<E>,
+    state: BlockCgState<E>,
     tol: f64,
     max_iter: usize,
 ) -> (FermionBlock<E>, BlockSolveReport) {
     let grid = b.grid().clone();
-    let nrhs = b.nrhs();
     let span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
-    for h in &mut state.histories {
-        h.reserve((max_iter + 1).saturating_sub(h.len()));
-    }
-    let mut monitors: Vec<HealthMonitor> = (0..nrhs)
-        .map(|j| HealthMonitor::new(&format!("solver.block_cg[{j}]")))
-        .collect();
-    for (m, h) in monitors.iter_mut().zip(&state.histories) {
-        m.replay(h);
-    }
-
-    loop {
-        let active = state.active(tol, max_iter);
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        state.step_ws(ws, &mut apply_into, &active);
-        for j in 0..nrhs {
-            if active[j] {
-                monitors[j].observe(*state.histories[j].last().unwrap());
-            }
-        }
-    }
-
-    let converged: Vec<bool> = (0..nrhs).map(|j| state.converged_rhs(j, tol)).collect();
-    // True residual check per RHS, batched: `A x` lands in the workspace and
-    // the subtract-and-norms runs as one fused sweep through the spent
-    // search directions.
-    apply_into(&state.x, ws);
-    let sn = state.p.sub_norms2(b, &ws.ap);
-    let residuals: Vec<f64> = (0..nrhs)
-        .map(|j| (sn[j] / state.b_norm2[j]).sqrt())
-        .collect();
-    let mut histories = Vec::with_capacity(nrhs);
-    let mut health = Vec::with_capacity(nrhs);
-    for (monitor, (full, iters)) in monitors
-        .into_iter()
-        .zip(state.histories.iter().zip(&state.iterations))
-    {
-        let (capped, events) = conclude_health("solver.block_cg", monitor, full, *iters);
-        histories.push(capped);
-        health.push(events);
-    }
-    (
-        state.x,
-        BlockSolveReport {
-            iterations: state.iterations.iter().copied().max().unwrap_or(0),
-            per_rhs_iterations: state.iterations,
-            residuals,
-            converged,
-            histories,
-            health,
-            telemetry: span.finish(),
-        },
-    )
+    Cg::new("solver.block_cg", tol, max_iter).solve(span, b, state, ws, Fused, apply_into)
 }
 
 /// Block Conjugate Gradient on the Wilson normal equations through a
@@ -888,8 +600,13 @@ pub fn bicgstab_from_state(
 
     op.apply_into(&state.x, &mut ws.ap);
     let residual = (ws.tmp.sub_norm2(b, &ws.ap) / state.b_norm2).sqrt();
-    let (history, health) =
-        conclude_health("solver.bicgstab", monitor, &state.history, state.iterations);
+    let (history, health) = qcd_metrics::conclude_solver_health(
+        "solver.bicgstab",
+        monitor,
+        &state.history,
+        state.iterations,
+        HISTORY_CAP,
+    );
     (
         state.x,
         SolveReport {
@@ -1060,7 +777,19 @@ mod tests {
         }
         let snapshot = st.clone(); // what qcd-io serializes
         drop(st); // the "killed" solve
-        let (x_res, res) = cg_op_from_state(apply, &b, snapshot, 1e-8, 2000);
+        let grid = b.grid().clone();
+        let ctx = grid.engine().ctx();
+        let span = qcd_trace::span!("solver.cg", ctx);
+        let (x_res, res) = Cg::new("solver.cg", 1e-8, 2000)
+            .with_hook(IterSpans(ctx, ()))
+            .solve(
+                span,
+                &b,
+                snapshot,
+                &mut None,
+                Local,
+                |p, ap: &mut Option<_>| *ap = Some(apply(p)),
+            );
 
         assert_eq!(res.iterations, full.iterations);
         assert_eq!(res.history.len(), full.history.len());

@@ -33,11 +33,11 @@
 use crate::dense::Cholesky;
 use grid::dirac::WilsonDirac;
 use grid::field::FermionKind;
+use grid::krylov::{zero_start, Canonical, Cg};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
-use grid::solver::{SolveReport, SolverWorkspace, HISTORY_CAP};
+use grid::solver::{CgState, SolveReport, SolverWorkspace};
 use grid::{Complex, Coor, Field, FieldKind, Grid};
-use qcd_metrics::HealthMonitor;
 use std::sync::Arc;
 use sve::{SveFloat, F16};
 
@@ -364,6 +364,8 @@ pub fn coarse_pcg_smoothed<E: SveFloat>(
     coarse_pcg_inner(op, cs, Some(smoother), b, tol, max_iter)
 }
 
+/// The preconditioned solve through the Krylov core: canonical reductions,
+/// `M⁻¹ r` = coarse correction plus the optional smoother term.
 fn coarse_pcg_inner<E: SveFloat>(
     op: &WilsonDirac<E>,
     cs: &CoarseSpace<E>,
@@ -374,72 +376,24 @@ fn coarse_pcg_inner<E: SveFloat>(
 ) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new("solver.coarse_pcg");
     let mut ws = SolverWorkspace::<E>::new(grid.clone());
-
-    let b_norm2 = b.canonical_norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = Field::<FermionKind, E>::zero(grid.clone());
-    let mut r = b.clone();
-    let mut r2 = b_norm2;
-    let mut z = cs.precondition(&r);
-    if let Some(sm) = smoother.as_deref_mut() {
-        sm.accumulate(&r, &mut z);
-    }
-    let mut p = z.clone();
-    let mut rz = r.canonical_inner_re(&z);
-    let mut history = vec![(r2 / b_norm2).sqrt()];
-    monitor.replay(&history);
-
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        op.mdag_m_into(&p, &mut ws.tmp, &mut ws.ap);
-        let p_ap = p.canonical_inner_re(&ws.ap);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = rz / p_ap;
-        x.axpy_inplace(alpha, &p);
-        r.axpy_inplace(-alpha, &ws.ap);
-        r2 = r.canonical_norm2();
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-        if r2 <= tol * tol * b_norm2 {
-            break;
-        }
-        z = cs.precondition(&r);
+    let mut reduce = Canonical::default();
+    let state: CgState<E> = zero_start(b, &mut reduce, &mut ws);
+    let precondition = |r: &Field<FermionKind, E>| {
+        let mut z = cs.precondition(r);
         if let Some(sm) = smoother.as_deref_mut() {
-            sm.accumulate(&r, &mut z);
+            sm.accumulate(r, &mut z);
         }
-        let rz_new = r.canonical_inner_re(&z);
-        let beta = rz_new / rz;
-        p.aypx(beta, &z);
-        rz = rz_new;
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    let mut true_r = Field::<FermionKind, E>::zero(grid.clone());
-    true_r.sub(b, &ws.ap);
-    let residual = (true_r.canonical_norm2() / b_norm2).sqrt();
-    let (history, health) = qcd_metrics::conclude_solver_health(
-        "solver.coarse_pcg",
-        monitor,
-        &history,
-        iterations,
-        HISTORY_CAP,
-    );
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
+        z
+    };
+    Cg::new("solver.coarse_pcg", tol, max_iter)
+        .preconditioned(precondition)
+        .solve(
+            span,
+            b,
+            state,
+            &mut ws,
+            reduce,
+            |p, ws: &mut SolverWorkspace<E>| op.mdag_m_into(p, &mut ws.tmp, &mut ws.ap),
+        )
 }

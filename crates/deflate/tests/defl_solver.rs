@@ -14,9 +14,9 @@ use std::sync::{Arc, OnceLock};
 
 use grid::prelude::*;
 use qcd_deflate::{
-    coarse_pcg, coarse_pcg_smoothed, defl_block_cg, defl_cg, defl_ladder_solve, defl_mixed_solve,
-    galerkin_guess, galerkin_guess_f16, lanczos, solve_deflated_requests, CoarseSpace, F16Smoother,
-    LanczosParams, Subspace,
+    coarse_pcg, coarse_pcg_smoothed, defl_block_cg, defl_cg, defl_ladder_solve, galerkin_guess,
+    galerkin_guess_f16, lanczos, solve_deflated_requests, CoarseSpace, F16Smoother, LanczosParams,
+    Subspace,
 };
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
 
@@ -192,14 +192,18 @@ fn deflated_requests_match_standalone_solves_in_any_order() {
 fn deflation_composes_with_the_mixed_precision_ladder() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 41);
-    let (x_mixed, rep_mixed) = mixed_precision_solve(&f.op, &b, TOL, 1e-5, 50, 600);
-    let (x_defl, rep_defl) = defl_mixed_solve(&f.op, &f.sub, &b, TOL, 1e-5, 50, 600);
+    let mut cfg = LadderConfig::f32_only(TOL);
+    cfg.inner_tol = 1e-5;
+    cfg.max_outer = 50;
+    cfg.max_inner = 600;
+    let (x_mixed, rep_mixed) = ladder_solve(&f.op, &b, &cfg);
+    let (x_defl, rep_defl) = defl_ladder_solve(&f.op, &f.sub, &b, &cfg);
     assert!(rep_mixed.converged && rep_defl.converged);
     assert!(
-        rep_defl.inner_iterations <= rep_mixed.inner_iterations,
+        rep_defl.f32_iterations <= rep_mixed.f32_iterations,
         "deflated ladder spent more inner iterations: {} vs {}",
-        rep_defl.inner_iterations,
-        rep_mixed.inner_iterations
+        rep_defl.f32_iterations,
+        rep_mixed.f32_iterations
     );
     let mut d = x_mixed.clone();
     d.sub(&x_mixed, &x_defl);

@@ -22,12 +22,15 @@ use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
 use grid::codec::Precision;
+use grid::krylov::{After, Cg, Fused, IterSpans, Local};
 use grid::prelude::{
-    block_cg_ws_from_state, cg_op_from_state, BicgStabState, BlockCgState, BlockSolveReport,
-    BlockWorkspace, CgState, SolveReport, WilsonDirac,
+    BicgStabState, BlockCgState, BlockSolveReport, BlockWorkspace, CgState, SolveReport,
+    WilsonDirac,
 };
 use grid::solver::bicgstab_from_state;
 use grid::{Complex, FermionBlock, FermionField, Grid};
+use qcd_metrics::HealthMonitor;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -277,7 +280,7 @@ pub fn load_block_cg(path: &Path, grid: &Arc<Grid<f64>>) -> Result<BlockCgState>
 pub fn block_cg_checkpointed_from(
     op: &WilsonDirac,
     b: &FermionBlock,
-    mut state: BlockCgState,
+    state: BlockCgState,
     tol: f64,
     max_iter: usize,
     every: usize,
@@ -295,29 +298,40 @@ pub fn block_cg_checkpointed_from(
             });
         }
     }
-    let mut ws = BlockWorkspace::new(b.grid().clone(), b.nrhs());
-    let mut apply = |p: &FermionBlock, ws: &mut BlockWorkspace| {
-        let BlockWorkspace { tmp, ap, .. } = ws;
-        op.mdag_m_block_into_dot(p, tmp, ap)
-    };
+    let grid = b.grid().clone();
+    let mut ws = BlockWorkspace::new(grid.clone(), b.nrhs());
     let mut snapshots = 0;
     let mut steps = 0usize;
-    loop {
-        let active = state.active(tol, max_iter);
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        state.step_ws(&mut ws, &mut apply, &active);
+    let mut failed = None;
+    let save_every = After(|st: &BlockCgState, _: &[HealthMonitor]| {
         steps += 1;
         if steps.is_multiple_of(every) {
-            save_block_cg(&state, path)?;
+            if let Err(e) = save_block_cg(st, path) {
+                failed = Some(e);
+                return ControlFlow::Break(());
+            }
             snapshots += 1;
         }
+        ControlFlow::Continue(())
+    });
+    let span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
+    let (x, report) = Cg::new("solver.block_cg", tol, max_iter)
+        .with_hook(save_every)
+        .solve(
+            span,
+            b,
+            state,
+            &mut ws,
+            Fused,
+            |p, ws: &mut BlockWorkspace| {
+                let BlockWorkspace { tmp, ap, .. } = ws;
+                op.mdag_m_block_into_dot(p, tmp, ap)
+            },
+        );
+    match failed {
+        Some(e) => Err(e),
+        None => Ok((x, report, snapshots)),
     }
-    // Zero further iterations happen here; this builds the per-RHS report
-    // with the true-residual check.
-    let (x, report) = block_cg_ws_from_state(&mut apply, b, &mut ws, state, tol, max_iter);
-    Ok((x, report, snapshots))
 }
 
 /// [`block_cg_checkpointed_from`] starting from the zero initial guess.
@@ -370,7 +384,7 @@ fn validate_rhs(stored_b_norm2: f64, b: &FermionField, record: &str) -> Result<(
 pub fn cg_checkpointed_from(
     apply: impl Fn(&FermionField) -> FermionField,
     b: &FermionField,
-    mut state: CgState,
+    state: CgState,
     tol: f64,
     max_iter: usize,
     every: usize,
@@ -378,18 +392,30 @@ pub fn cg_checkpointed_from(
 ) -> Result<(FermionField, SolveReport, usize)> {
     assert!(every > 0, "checkpoint interval must be positive");
     validate_rhs(state.b_norm2, b, CG_SCALARS)?;
+    let grid = b.grid().clone();
+    let ctx = grid.engine().ctx();
     let mut snapshots = 0;
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step(&apply);
-        if state.iterations % every == 0 {
-            save_cg(&state, path)?;
+    let mut failed = None;
+    let save_every = After(|st: &CgState, _: &[HealthMonitor]| {
+        if st.iterations.is_multiple_of(every) {
+            if let Err(e) = save_cg(st, path) {
+                failed = Some(e);
+                return ControlFlow::Break(());
+            }
             snapshots += 1;
         }
+        ControlFlow::Continue(())
+    });
+    let span = qcd_trace::span!("solver.cg", ctx);
+    let (x, report) = Cg::new("solver.cg", tol, max_iter)
+        .with_hook(IterSpans(ctx, save_every))
+        .solve(span, b, state, &mut None, Local, |p, ap: &mut Option<_>| {
+            *ap = Some(apply(p))
+        });
+    match failed {
+        Some(e) => Err(e),
+        None => Ok((x, report, snapshots)),
     }
-    // Zero further iterations happen here; this builds the report with the
-    // true-residual check.
-    let (x, report) = cg_op_from_state(&apply, b, state, tol, max_iter);
-    Ok((x, report, snapshots))
 }
 
 /// [`cg_checkpointed_from`] starting from the zero initial guess.

@@ -2,6 +2,7 @@
 //! its on-disk checkpoint must retrace the uninterrupted iteration
 //! sequence bit-for-bit.
 
+use grid::krylov::{Cg, Fused};
 use grid::prelude::*;
 use qcd_io::checkpoint::bicgstab_checkpointed_from;
 use qcd_io::{
@@ -71,7 +72,7 @@ fn cg_killed_and_resumed_from_disk_is_bit_identical() {
 #[test]
 fn checkpoint_resumes_bit_identically_on_the_fused_workspace_path() {
     // A checkpoint written by the legacy closure-driven solver, resumed
-    // through the allocation-free workspace path (`cg_ws_from_state` over
+    // through the allocation-free workspace path (the Krylov core's fused policy over
     // the fused `M†M` + curvature-dot kernel), must retrace the fused
     // reference solve bit for bit — the fused kernels retire the same
     // engine ops in the same order, so checkpoints are interchangeable
@@ -90,16 +91,17 @@ fn checkpoint_resumes_bit_identically_on_the_fused_workspace_path() {
     assert_eq!(state.iterations, 10);
 
     let mut ws = SolverWorkspace::new(b.grid().clone());
-    let (x, resumed) = cg_ws_from_state(
-        |p, ws| {
-            let SolverWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_into_dot(p, tmp, ap)
-        },
+    let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+    let (x, resumed) = Cg::new("solver.cg", tol, max_iter).solve(
+        span,
         &b,
-        &mut ws,
         state,
-        tol,
-        max_iter,
+        &mut ws,
+        Fused,
+        |p, ws: &mut SolverWorkspace| {
+            let SolverWorkspace { tmp, ap, .. } = ws;
+            [op.mdag_m_into_dot(p, tmp, ap)]
+        },
     );
 
     assert_eq!(resumed.iterations, ref_report.iterations);
@@ -281,13 +283,15 @@ fn block_resume_against_the_wrong_rhs_is_refused_by_index() {
 fn mixed_solve_resumes_from_a_disk_checkpoint() {
     let (op, b) = setup();
     // Partial solve, snapshot the f64 iterate, reload, and finish.
-    let (x_partial, partial) = mixed_precision_solve(&op, &b, 1e-4, 1e-4, 2, 500);
+    let mut cut = LadderConfig::f32_only(1e-4);
+    cut.max_outer = 2;
+    let (x_partial, partial) = ladder_solve(&op, &b, &cut);
     let path = tmp("mixed.qio");
     save_mixed(
         &MixedCheckpoint {
             x: x_partial,
             outer_done: partial.outer_iterations,
-            inner_done: partial.inner_iterations,
+            inner_done: partial.f32_iterations,
         },
         &path,
     )
@@ -295,11 +299,12 @@ fn mixed_solve_resumes_from_a_disk_checkpoint() {
 
     let ck = load_mixed(&path, b.grid()).unwrap();
     assert_eq!(ck.outer_done, partial.outer_iterations);
-    assert_eq!(ck.inner_done, partial.inner_iterations);
-    let (x, resumed) = mixed_precision_solve_from(&op, &b, ck.x, 1e-10, 1e-4, 30, 500);
+    assert_eq!(ck.inner_done, partial.f32_iterations);
+    let cfg = LadderConfig::f32_only(1e-10);
+    let (x, resumed) = ladder_solve_from(&op, &b, ck.x, &cfg);
     assert!(resumed.converged, "{resumed:?}");
     assert!(resumed.residual <= 1e-10);
-    let (_, cold) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 500);
+    let (_, cold) = ladder_solve(&op, &b, &cfg);
     assert!(
         resumed.outer_iterations < cold.outer_iterations,
         "the checkpointed progress must be reused ({} vs {})",
@@ -314,7 +319,6 @@ fn mixed_solve_resumes_from_a_disk_checkpoint() {
 
 #[test]
 fn ladder_solve_killed_and_resumed_from_disk_is_bit_identical() {
-    use grid::mixed::{ladder_solve, ladder_solve_from, LadderConfig};
     let (op, b) = setup();
     let tol = 1e-10;
 
