@@ -935,8 +935,13 @@ where
 /// One iteration of every RHS flagged in `on`, outside any driving loop
 /// (the single-step faces of [`Single`] and [`BlockCgState`]). Panics on
 /// a curvature breakdown.
-pub fn step<S: State, W, R, O>(st: &mut S, ws: &mut W, reduce: &mut R, op: &mut O, on: &[bool])
-where
+pub(crate) fn step<S: State, W, R, O>(
+    st: &mut S,
+    ws: &mut W,
+    reduce: &mut R,
+    op: &mut O,
+    on: &[bool],
+) where
     W: Workspace<S::V>,
     R: Reduction<S::V, W>,
     O: FnMut(&S::V, &mut W) -> R::Out,

@@ -24,7 +24,9 @@
 //! * **Physics** ([`tensor`], [`dirac`]): SU(3) gauge links, Dirac gamma
 //!   algebra with spin projectors, and the Wilson hopping term of Eq. (1),
 //!   "the most compute-intensive task" of LQCD.
-//! * **Solvers** ([`solver`]): Conjugate Gradient on `M†M` and BiCGStab.
+//! * **Solvers** ([`solver`], [`krylov`]): Conjugate Gradient on `M†M` —
+//!   every CG in the workspace runs the one recurrence of [`krylov`] — and
+//!   BiCGStab.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
 //!   halo exchange and optional binary16 wire compression (Section V-B).
 //!

@@ -5,15 +5,25 @@
 //! operations Grid's abstraction layer provides per architecture (paper,
 //! Section II-C), and SVE supports "vectorized 16-, 32-, 64-bit
 //! floating-point operations, including ... conversion of precision"
-//! (Section III-A). The production use of that machinery is the
-//! mixed-precision defect-correction solver: run the expensive Krylov
-//! iterations in single precision — twice the SIMD lanes per vector, twice
-//! the virtual nodes — and restore full double-precision accuracy with a
-//! cheap outer correction loop.
+//! (Section III-A). The production use of that machinery is defect
+//! correction: run the expensive Krylov iterations at a narrower width —
+//! more SIMD lanes per vector, more virtual nodes — and restore full
+//! double-precision accuracy with a cheap outer correction loop.
 //!
-//! Single precision doubles `lanes_c`, so the f32 lattice has a *different
-//! virtual-node decomposition* than the f64 one — converting a field is a
-//! genuine re-layout, exactly as in Grid (separate `GridF`/`GridD`).
+//! [`ladder_solve`] is the one mixed-precision solver: f64 outer defect
+//! correction, an f32 middle tier and binary16 inner CG cycles joined by
+//! reliable updates. [`LadderConfig::f32_only`] switches the binary16 tier
+//! off, which leaves the classic two-level f32-inner / f64-outer scheme
+//! (Grid's `MixedPrecisionConjugateGradient`). Both inner tiers run the
+//! one recurrence of [`crate::krylov`] with canonical reductions — the f32
+//! tier through [`cg_canonical_ws`], each f16 cycle with the
+//! f32-accumulating binary16 policy below and a health hook that aborts
+//! the cycle — so the whole ladder is bit-identical across vector lengths
+//! and thread counts.
+//!
+//! Narrower precisions have *different virtual-node decompositions* than
+//! the f64 lattice — converting a field is a genuine re-layout, exactly as
+//! in Grid (separate `GridF`/`GridD`).
 
 use crate::dirac::WilsonDirac;
 use crate::field::{FermionKind, Field, FieldKind};
@@ -384,8 +394,8 @@ pub fn ladder_solve(
 }
 
 /// [`ladder_solve`] from an arbitrary initial guess — the resume entry
-/// point. As with [`mixed_precision_solve_from`], a checkpoint of a ladder
-/// solve is just the double-precision iterate: every outer round is a
+/// point. A checkpoint of a ladder solve is just the double-precision
+/// iterate (defect correction is self-correcting): every outer round is a
 /// memoryless function of `x`, so resuming at a round boundary replays the
 /// uninterrupted trajectory bit for bit (carry
 /// [`LadderReport::f16_active_at_exit`] into [`LadderConfig::use_f16`] if
