@@ -31,7 +31,6 @@ use std::ops::ControlFlow;
 
 use crate::dwf::Fermion5;
 use crate::field::{block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionKind, Field};
-use crate::reduce::canonical_sum;
 use crate::solver::{
     BlockCgState, BlockSolveReport, BlockWorkspace, SolveReport, SolverWorkspace, HISTORY_CAP,
 };
@@ -294,22 +293,13 @@ impl<V: Space, W: Workspace<V>> Reduction<V, W> for Local {
     }
 }
 
-/// Canonical reductions through one reused scatter buffer: every scalar is
-/// a lexicographic per-site scatter summed through the fixed chunk tree,
-/// so the trajectory is bit-identical across vector lengths and thread
-/// counts. Per RHS, block sums are bit-identical to the extracted fields'.
+/// Canonical reductions: every scalar is a lexicographic per-site scatter
+/// summed through the fixed chunk tree, so the trajectory is bit-identical
+/// across vector lengths and thread counts. The batch reuses one scatter
+/// buffer; per RHS its sums are bit-identical to the extracted fields'.
 #[derive(Default)]
 pub struct Canonical {
     buf: Vec<f64>,
-}
-
-impl Canonical {
-    /// Scatter one field's `vol` per-site values, then sum them.
-    fn sum<G: Fn(&mut [f64])>(&mut self, vol: usize, scatter: G) -> [f64; 1] {
-        self.buf.resize(vol, 0.0);
-        scatter(&mut self.buf);
-        [canonical_sum(&self.buf)]
-    }
 }
 
 impl<E: SveFloat, W: Workspace<Field<FermionKind, E>>> Reduction<Field<FermionKind, E>, W>
@@ -317,11 +307,10 @@ impl<E: SveFloat, W: Workspace<Field<FermionKind, E>>> Reduction<Field<FermionKi
 {
     type Out = ();
     fn curvature(&mut self, _: (), p: &Field<FermionKind, E>, ws: &mut W) -> [f64; 1] {
-        let ap = ws.ap();
-        self.sum(p.grid().volume(), |buf| p.site_inner_re_lex(ap, buf))
+        [p.canonical_inner_re(ws.ap())]
     }
     fn norm2(&mut self, v: &Field<FermionKind, E>, _: &mut W) -> [f64; 1] {
-        self.sum(v.grid().volume(), |buf| v.site_norm2_lex(buf))
+        [v.canonical_norm2()]
     }
     fn inner_re(
         &mut self,
@@ -329,7 +318,7 @@ impl<E: SveFloat, W: Workspace<Field<FermionKind, E>>> Reduction<Field<FermionKi
         b: &Field<FermionKind, E>,
         _: &mut W,
     ) -> [f64; 1] {
-        self.sum(a.grid().volume(), |buf| a.site_inner_re_lex(b, buf))
+        [a.canonical_inner_re(b)]
     }
 }
 
